@@ -156,8 +156,11 @@
 //!   (a *hit*; the rendered-line cache may answer even earlier).
 //!
 //! `STATS` reports these counters as `sms_rebuilds`, `sms_reuses`,
-//! `sms_hits`, `sms_rollbacks` and `sms_invalidations`, plus the current
-//! `sms_closure_atoms`/`sms_ground_rules` sizes; `STATS sms` prints *only*
+//! `sms_hits`, `sms_rollbacks` and `sms_invalidations`, plus the
+//! `sms_closure_atoms`/`sms_ground_rules` sizes of the session's current
+//! cached grounding (a fork answered from the shared base reports the
+//! base's sizes; a session that has not run `MODELS sms` reports 0);
+//! `STATS sms` prints *only*
 //! those lines, which are a pure function of the request history — never of
 //! thread count, pool mode or machine — so scripted transcripts (CI's
 //! `server-smoke`) can assert them verbatim.
@@ -184,19 +187,24 @@
 //!   session may chase a terminating program unbounded where a blind one
 //!   must stop at the budget, and sharing across that line would make
 //!   `LOAD` outcomes depend on registry arrival order.
-//! * **First `LOAD` (miss).**  The session parses, compiles, chases the
-//!   initial facts to a fixpoint, eagerly grounds the `MODELS sms` closure
-//!   of those facts, then freezes everything — arena, compiled plans,
-//!   witness memo, grounding snapshot — behind `Arc`s and registers the
-//!   entry.  Registration is first-wins under races; losing builds are
-//!   discarded.
+//! * **First `LOAD` (miss).**  The session parses, classifies, compiles and
+//!   chases the initial facts to a fixpoint, then freezes everything —
+//!   arena, compiled plans, witness memo — behind `Arc`s and registers the
+//!   entry.  It does not ground: only `MODELS sms` reads the grounding.
+//!   Registration is first-wins under races; losing builds are discarded.
 //! * **Every `LOAD` of a registered key (hit — and the registering `LOAD`
-//!   itself).**  The session *forks* the entry in O(1): its arena is a
-//!   mutable overlay over the shared immutable base
-//!   (`ntgd_core::Interpretation`), `ASSERT` chases only the private fact
-//!   delta, `RETRACT-TO` can roll back to mark 0 (the fork watermark) but
-//!   never into the base, and `MODELS sms` answers over the unextended base
-//!   prefix zero-copy, adopting the snapshot on the first extension.
+//!   itself).**  The session *forks* the entry: its arena is a mutable
+//!   overlay over the shared immutable base (`ntgd_core::Interpretation`,
+//!   O(1)), its fact log a copy of the base facts (O(base facts)), `ASSERT`
+//!   chases only the private fact delta, and `RETRACT-TO` can roll back to
+//!   mark 0 (the fork watermark) but never into the base.
+//! * **First `MODELS sms` on any fork.**  The entry's grounding slot
+//!   (`ntgd_sms::SharedSmsBase`) is built from the entry's initial facts —
+//!   never from the requesting session's log — once per process, even when
+//!   forks race.  Every fork then answers over the unextended base prefix
+//!   zero-copy and adopts the snapshot on the first extension.  A grounding
+//!   failure is cached in the slot and returned to every fork exactly as a
+//!   private session reports it.
 //!   Forking is symmetric — the first session forks its own frozen base —
 //!   so a forked session's transcript is bit-identical to a private
 //!   from-scratch session at every thread count and pool mode
@@ -205,7 +213,8 @@
 //!   sessions only ever layer private overlays on top, and `LOAD` always
 //!   replaces the whole session state, so a stale base cannot exist.  The
 //!   registry lives as long as the process; its memory is bounded by the
-//!   number of distinct programs loaded.
+//!   number of distinct programs loaded, and a base holds a grounding only
+//!   once some session has run `MODELS sms` on it.
 //!
 //! `STATS base` reports the deterministic counters: `base_shared`, the
 //! `base_atoms`/`base_overlay_atoms` split of the session arena at the fork

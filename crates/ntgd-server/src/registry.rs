@@ -2,16 +2,25 @@
 //! distinct `LOAD` payload, forked copy-on-write into every session that
 //! loads the same program.
 //!
-//! The first `LOAD` of a program parses it, compiles the rule plans, chases
-//! the initial facts to a fixpoint and grounds the `MODELS sms` closure —
-//! then **freezes** all of that behind `Arc`s as a [`BaseEntry`] and
-//! registers it under the program's [`BaseKey`].  Every later `LOAD` of the
-//! same payload (the registering session included — forking is symmetric,
-//! so first and later sessions produce bit-identical transcripts) *forks*
-//! the entry in O(1): the session shares the chased arena, the compiled
-//! plans and the frozen grounding, and chases only its private fact delta
-//! on a mutable overlay (see `ntgd_core::Interpretation`,
-//! `ntgd_chase::ChaseBase` and `ntgd_sms::SmsBaseSnapshot`).
+//! The first `LOAD` of a program parses it, classifies it, compiles the
+//! rule plans and chases the initial facts to a fixpoint — then **freezes**
+//! all of that behind `Arc`s as a [`BaseEntry`] and registers it under the
+//! program's [`BaseKey`].  Every later `LOAD` of the same payload (the
+//! registering session included — forking is symmetric, so first and later
+//! sessions produce bit-identical transcripts) *forks* the entry: the
+//! session shares the chased arena and the compiled plans, copies the base
+//! fact log (O(base facts)), and chases only its private fact delta on a
+//! mutable overlay (see `ntgd_core::Interpretation` and
+//! `ntgd_chase::ChaseBase`).
+//!
+//! Only `MODELS sms` reads the grounding `SM[D,Σ]`, so `LOAD` does not
+//! build it.  Each entry holds an `ntgd_sms::SharedSmsBase` instead: a
+//! once-initialised slot that the first `MODELS sms` on any fork fills with
+//! the frozen grounding of the entry's initial facts.  Every later fork
+//! adopts that snapshot; concurrent first requests build it once; a
+//! grounding failure is cached in the slot and reported by every fork the
+//! way a private session reports it.  A registered base therefore holds a
+//! grounding only after some session has run `MODELS sms` on it.
 //!
 //! Entries are keyed by the **canonical program text** (the trimmed `LOAD`
 //! payload, rules and initial facts alike) plus the step policy they were
@@ -37,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use ntgd_chase::ChaseBase;
 use ntgd_classes::{ClassReport, ClassVerdict};
 use ntgd_core::{Atom, DisjunctiveProgram, Program};
-use ntgd_sms::SmsBaseSnapshot;
+use ntgd_sms::SharedSmsBase;
 
 /// The decidability classification of a registered program: the full
 /// landscape report plus the coarse verdict derived from it.  Computed once
@@ -109,8 +118,9 @@ pub struct BaseStats {
 }
 
 /// One frozen base: everything a session needs to answer the protocol over
-/// a program without re-parsing, re-compiling, re-chasing or re-grounding
-/// it.  Immutable after registration; shared via `Arc`.
+/// a program without re-parsing, re-compiling or re-chasing it, plus the
+/// slot its `MODELS sms` grounding is built into on first use.  Immutable
+/// after registration apart from that slot; shared via `Arc`.
 pub struct BaseEntry {
     /// The parsed rules (possibly disjunctive), shared with every fork.
     pub(crate) disjunctive: Arc<DisjunctiveProgram>,
@@ -119,11 +129,10 @@ pub struct BaseEntry {
     /// The frozen chase: arena at fixpoint, plans, witness memo (normal
     /// programs only).
     pub(crate) chase: Option<Arc<ChaseBase>>,
-    /// The frozen `MODELS sms` grounding of the initial facts, when the
-    /// grounding succeeded and incremental `MODELS` is enabled.
-    pub(crate) sms: Option<Arc<SmsBaseSnapshot>>,
-    /// The deduplicated initial facts, in assertion order.
-    pub(crate) facts: Vec<Atom>,
+    /// The deduplicated initial facts, in assertion order, and their
+    /// `MODELS sms` grounding: unbuilt until the first `MODELS sms` on a
+    /// fork needs it (never built when incremental `MODELS` is off).
+    pub(crate) sms: Arc<SharedSmsBase>,
     /// The program's classification, computed once by the registering
     /// session (`None` when it classified with `NTGD_CLASSIFY=0`); forks
     /// inherit the verdict instead of reclassifying.
@@ -140,7 +149,6 @@ impl BaseEntry {
         disjunctive: Arc<DisjunctiveProgram>,
         normal: Option<Program>,
         chase: Option<Arc<ChaseBase>>,
-        sms: Option<Arc<SmsBaseSnapshot>>,
         facts: Vec<Atom>,
         class: Option<ProgramClass>,
     ) -> BaseEntry {
@@ -148,8 +156,7 @@ impl BaseEntry {
             disjunctive,
             normal,
             chase,
-            sms,
-            facts,
+            sms: Arc::new(SharedSmsBase::new(facts)),
             class,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -164,7 +171,12 @@ impl BaseEntry {
         self.chase
             .as_ref()
             .map(|chase| chase.instance().len())
-            .unwrap_or(self.facts.len())
+            .unwrap_or(self.facts().len())
+    }
+
+    /// The deduplicated initial facts, in assertion order.
+    pub(crate) fn facts(&self) -> &[Atom] {
+        self.sms.facts()
     }
 
     /// This entry's counters, copied at the call.
@@ -261,7 +273,6 @@ mod tests {
     fn empty_entry() -> Arc<BaseEntry> {
         Arc::new(BaseEntry::new(
             Arc::new(DisjunctiveProgram::default()),
-            None,
             None,
             None,
             Vec::new(),

@@ -560,7 +560,9 @@ impl Session {
     /// the first `LOAD` of a payload is frozen and registered, and every
     /// `LOAD` of the same payload — this first one included, so transcripts
     /// never depend on arrival order — *forks* that base copy-on-write
-    /// instead of re-parsing, re-compiling, re-chasing and re-grounding it.
+    /// instead of re-parsing, re-compiling and re-chasing it.  The base's
+    /// `MODELS sms` grounding is not built here but by the first `MODELS
+    /// sms` on any of its forks.
     pub fn load(&mut self, text: &str) -> Response {
         if let Some(registry) = self.config.base_registry.clone() {
             let key = BaseKey::new(text, self.config.max_steps, self.config.classify);
@@ -697,34 +699,29 @@ impl Session {
     }
 
     /// Freezes a freshly built private state into a registrable
-    /// [`BaseEntry`]: the chase moves behind an `Arc` (no arena copy), and
-    /// the `MODELS sms` grounding of the initial facts is built eagerly so
-    /// every fork — whenever it arrives — sees the same snapshot and the
-    /// same deterministic counters.  A grounding failure (limits) leaves the
-    /// snapshot out; forks then ground privately and report the error on
-    /// their first `MODELS`, exactly like a private session.
+    /// [`BaseEntry`]: the chase moves behind an `Arc` (no arena copy) and
+    /// the initial facts move into the entry's unbuilt `MODELS sms` slot.
+    /// Nothing is grounded here: the first `MODELS sms` on a fork builds
+    /// the slot (see [`crate::registry`]).
     fn freeze_loaded(loaded: Loaded) -> BaseEntry {
         let Loaded {
             disjunctive,
             normal,
             chase,
-            sms,
             facts,
             class,
             ..
         } = loaded;
         let chase = chase.map(IncrementalChase::freeze);
-        let sms = sms.and_then(|mut state| match state.ensure_current(&facts) {
-            Ok(_) => state.freeze(&facts),
-            Err(_) => None,
-        });
-        BaseEntry::new(disjunctive, normal, chase, sms, facts, class)
+        BaseEntry::new(disjunctive, normal, chase, facts, class)
     }
 
-    /// Forks a registered base into a fresh session state in O(1): the
-    /// chase shares the frozen arena and chases only this session's fact
-    /// delta on an overlay; `MODELS sms` answers over the base prefix
-    /// zero-copy and adopts the snapshot on the first extension.
+    /// Forks a registered base into a fresh session state.  The chase
+    /// shares the frozen arena (O(1)) and chases only this session's fact
+    /// delta on an overlay; the fact log and its dedup set are copied from
+    /// the base (O(base facts)).  `MODELS sms` builds the base grounding if
+    /// no fork has yet, answers over the base prefix zero-copy and adopts
+    /// the snapshot on the first extension.
     fn fork_loaded(entry: &Arc<BaseEntry>, config: &SessionConfig, key: BaseKey) -> Loaded {
         entry.record_fork();
         // The verdict is inherited from the registered base — never
@@ -735,17 +732,14 @@ impl Session {
             .as_ref()
             .map(|base| IncrementalChase::fork(base, chase_config_for(class.as_ref(), config)));
         let sms = config.incremental_models.then(|| {
-            let state = IncrementalSmsState::new(
+            IncrementalSmsState::new(
                 Arc::clone(&entry.disjunctive),
                 null_budget_for(class.as_ref()),
                 GroundingLimits::default(),
-            );
-            match entry.sms.as_ref() {
-                Some(snapshot) => state.with_base(Arc::clone(snapshot)),
-                None => state,
-            }
+            )
+            .with_shared_base(Arc::clone(&entry.sms))
         });
-        let facts = entry.facts.clone();
+        let facts = entry.facts().to_vec();
         let fact_set = facts.iter().cloned().collect();
         let mut loaded = Loaded {
             disjunctive: Arc::clone(&entry.disjunctive),
@@ -1396,15 +1390,191 @@ mod tests {
         let first_lines = transcript(&mut first, &script);
         let second_lines = transcript(&mut second, &script);
         assert_eq!(first_lines, second_lines, "fork order leaked");
-        let sans_stats = |lines: &[String]| -> Vec<String> {
-            lines
-                .iter()
-                .filter(|l| !l.starts_with("STAT "))
-                .cloned()
-                .collect()
-        };
         assert_eq!(sans_stats(&first_lines), sans_stats(&oracle));
         assert_eq!(registry.len(), 1);
+    }
+
+    /// A shared-registry config plus its registry.
+    fn shared_config() -> (Arc<BaseRegistry>, SessionConfig) {
+        let registry = Arc::new(BaseRegistry::new());
+        let config = SessionConfig {
+            base_registry: Some(Arc::clone(&registry)),
+            ..SessionConfig::default()
+        };
+        (registry, config)
+    }
+
+    /// The registry entry a `LOAD <payload>` forked from (the lookup counts
+    /// as a registry hit; the tests below only read the build count).
+    fn entry_of(registry: &BaseRegistry, config: &SessionConfig, payload: &str) -> Arc<BaseEntry> {
+        registry
+            .lookup(&BaseKey::new(payload, config.max_steps, config.classify))
+            .expect("registered")
+    }
+
+    /// The script's response lines without the `STAT` lines, whose sms
+    /// reuse counters legitimately differ between forked and private
+    /// sessions.
+    fn sans_stats(lines: &[String]) -> Vec<String> {
+        lines
+            .iter()
+            .filter(|line| !line.starts_with("STAT "))
+            .cloned()
+            .collect()
+    }
+
+    /// The size lines of `STATS sms`.
+    fn sms_sizes(session: &mut Session) -> Vec<String> {
+        session
+            .execute("STATS sms")
+            .lines
+            .into_iter()
+            .filter(|line| {
+                line.starts_with("STAT sms_closure_atoms=")
+                    || line.starts_with("STAT sms_ground_rules=")
+            })
+            .collect()
+    }
+
+    const COLOURING: &str = "node(X) -> red(X) | green(X). node(u). node(v).";
+
+    #[test]
+    fn forked_sms_sizes_match_a_private_session() {
+        let (_registry, shared) = shared_config();
+        let load = format!("LOAD {COLOURING}");
+        let mut private = Session::new(SessionConfig::default());
+        let mut fork = Session::new(shared.clone());
+        let mut idle = Session::new(shared.clone());
+        for session in [&mut private, &mut fork, &mut idle] {
+            assert!(session.execute(&load).is_ok());
+        }
+        for session in [&mut private, &mut fork] {
+            assert_eq!(
+                session.execute("MODELS max=8").terminator(),
+                Some("OK models=4 mode=sms")
+            );
+        }
+        let expected = vec![
+            "STAT sms_closure_atoms=6".to_owned(),
+            "STAT sms_ground_rules=2".to_owned(),
+        ];
+        assert_eq!(sms_sizes(&mut private), expected);
+        // The fork answered zero-copy from the shared base and reports its
+        // sizes, exactly like the private session's own grounding.
+        assert_eq!(sms_sizes(&mut fork), expected);
+        // The base is grounded by now, but this session never ran MODELS:
+        // its STATS sms stays a function of its own history.
+        assert_eq!(
+            sms_sizes(&mut idle),
+            vec!["STAT sms_closure_atoms=0", "STAT sms_ground_rules=0"]
+        );
+    }
+
+    #[test]
+    fn load_assert_query_and_retract_leave_the_base_ungrounded() {
+        let (registry, shared) = shared_config();
+        let payload = "e(X, Y), not blocked(X) -> r(X, Y). e(a, b). e(b, c).";
+        let mut session = Session::new(shared.clone());
+        assert!(session.execute(&format!("LOAD {payload}")).is_ok());
+        assert!(session.execute("ASSERT e(c, a).").is_ok());
+        assert!(session.execute("QUERY ?(X, Y) :- r(X, Y).").is_ok());
+        assert!(session.execute("RETRACT-TO 0").is_ok());
+        let entry = entry_of(&registry, &shared, payload);
+        assert_eq!(entry.sms.builds(), 0);
+        assert!(entry.sms.snapshot().is_none());
+        // Only MODELS sms reads the grounding; MODELS lp does not either.
+        assert!(session.execute("MODELS lp").is_ok());
+        assert_eq!(entry.sms.builds(), 0);
+        assert!(session.execute("MODELS sms").is_ok());
+        assert_eq!(entry.sms.builds(), 1);
+    }
+
+    #[test]
+    fn the_first_models_builds_the_base_from_its_own_facts() {
+        let (registry, shared) = shared_config();
+        let payload = "node(X) -> red(X) | green(X). edge(X, Y), red(X), red(Y) -> clash. \
+                       node(u). node(v). seen(w).";
+        // The first MODELS of the process arrives after the fork's fact log
+        // has grown and been cut back; the base must still ground exactly
+        // the base facts.
+        let script = [
+            format!("LOAD {payload}"),
+            "ASSERT node(w).".to_owned(),
+            "ASSERT edge(u, v).".to_owned(),
+            "RETRACT-TO 1".to_owned(),
+            "MODELS max=32".to_owned(),
+            "STATS sms".to_owned(),
+            "RETRACT-TO 0".to_owned(),
+            "MODELS max=32".to_owned(),
+            "STATS sms".to_owned(),
+        ];
+        let script: Vec<&str> = script.iter().map(String::as_str).collect();
+        let oracle = transcript(&mut Session::new(SessionConfig::default()), &script);
+        let first = transcript(&mut Session::new(shared.clone()), &script);
+        let entry = entry_of(&registry, &shared, payload);
+        assert_eq!(entry.sms.builds(), 1);
+        let snapshot = entry.sms.snapshot().expect("built");
+        assert_eq!(snapshot.facts_consumed(), entry.facts().len());
+        assert_eq!(snapshot.facts_consumed(), 3);
+        let later = transcript(&mut Session::new(shared.clone()), &script);
+        assert_eq!(entry.sms.builds(), 1, "later forks adopt the built base");
+        assert_eq!(first, later, "fork order leaked");
+        assert_eq!(sans_stats(&first), sans_stats(&oracle));
+    }
+
+    #[test]
+    fn concurrent_first_models_build_the_base_once() {
+        let (registry, shared) = shared_config();
+        let load = format!("LOAD {COLOURING}");
+        assert!(Session::new(shared.clone()).execute(&load).is_ok());
+        let entry = entry_of(&registry, &shared, COLOURING);
+        let start = std::sync::Barrier::new(8);
+        let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut session = Session::new(shared.clone());
+                        let mut lines = session.execute(&load).lines;
+                        start.wait();
+                        lines.extend(transcript(&mut session, &["MODELS max=8", "STATS sms"]));
+                        lines
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("session thread"))
+                .collect()
+        });
+        assert_eq!(entry.sms.builds(), 1);
+        assert!(transcripts.iter().all(|lines| *lines == transcripts[0]));
+        let oracle = transcript(
+            &mut Session::new(SessionConfig::default()),
+            &[load.as_str(), "MODELS max=8"],
+        );
+        assert_eq!(transcripts[0][..oracle.len()], oracle[..]);
+    }
+
+    #[test]
+    fn a_failed_base_grounding_is_cached_and_reported_like_a_private_one() {
+        // 330 constants make 108,900 `d` pairs, each with two possibly-true
+        // head atoms: the closure outgrows the default 200,000-atom limit.
+        let facts: String = (0..330).map(|i| format!("d(c{i}). ")).collect();
+        let payload = format!("d(X), d(Y) -> t(X, Y) | f(X, Y). {facts}");
+        let load = format!("LOAD {payload}");
+        let script = [load.as_str(), "MODELS max=2", "STATS sms"];
+        let oracle = transcript(&mut Session::new(SessionConfig::default()), &script);
+        assert!(
+            oracle[1].starts_with("ERR grounding exceeded"),
+            "{oracle:?}"
+        );
+        let (registry, shared) = shared_config();
+        let first = transcript(&mut Session::new(shared.clone()), &script);
+        let second = transcript(&mut Session::new(shared.clone()), &script);
+        assert_eq!(first, oracle);
+        assert_eq!(second, oracle);
+        let entry = entry_of(&registry, &shared, &payload);
+        assert_eq!(entry.sms.builds(), 1, "the failure is cached, not retried");
     }
 
     #[test]

@@ -54,12 +54,23 @@
 //! defined by a from-scratch restricted chase and is not incrementalisable
 //! without changing answers).
 //!
+//! # Shared bases
+//!
+//! Sessions of one program can share the grounding of its initial facts
+//! through a [`SharedSmsBase`]: a once-initialised slot that the first
+//! request over the base prefix (or an extension of it) fills with a frozen
+//! [`SmsBaseSnapshot`].  Every later state forked from the same base adopts
+//! that snapshot instead of grounding again, and a grounding failure is
+//! cached in the slot the same way, so a base is grounded at most once per
+//! process — and only if some request needs it.
+//!
 //! All counters and the cached state itself are deterministic across worker
 //! counts and pool modes: every parallel pass used here inherits the
 //! ordered-merge contract of [`ntgd_core::parallel`].
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use ntgd_core::{
     obs, Atom, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram, Interpretation,
@@ -128,8 +139,8 @@ struct SmsSnapshot {
 /// [`ntgd_core::InterpretationBase`] fork, so adopting it copies no closure
 /// atoms), and the dedup set — everything a forked session needs to answer
 /// `MODELS` without re-grounding the base.  Produced by
-/// [`IncrementalSmsState::freeze`], consumed by
-/// [`IncrementalSmsState::with_base`].
+/// [`IncrementalSmsState::freeze`] (or on first use of a [`SharedSmsBase`]),
+/// consumed by [`IncrementalSmsState::with_base`].
 pub struct SmsBaseSnapshot {
     /// Rule plans compiled when the snapshot was built.
     plans: Arc<CompiledDisjunctiveRuleSet>,
@@ -140,7 +151,7 @@ pub struct SmsBaseSnapshot {
     /// The fact log the snapshot grounds (adoption verifies the session's
     /// log still extends this prefix — a session that retracted below the
     /// fork watermark and regrew differently must not adopt).
-    facts: Vec<Atom>,
+    facts: Arc<[Atom]>,
 }
 
 impl SmsBaseSnapshot {
@@ -157,6 +168,70 @@ impl SmsBaseSnapshot {
     /// Number of session facts the snapshot grounds.
     pub fn facts_consumed(&self) -> usize {
         self.facts.len()
+    }
+}
+
+/// A shared base fact prefix whose [`SmsBaseSnapshot`] is built on first
+/// use: the first [`IncrementalSmsState::ensure_current`] call that needs it
+/// — on any state attached through
+/// [`IncrementalSmsState::with_shared_base`] — grounds exactly these facts
+/// and freezes the result into the slot.  Concurrent first requests build it
+/// once (the others wait for the slot), every later request adopts the
+/// built snapshot, and a grounding failure is cached in the slot as well, so
+/// it is never retried per state.
+pub struct SharedSmsBase {
+    /// The base facts, deduplicated, in assertion order.
+    facts: Arc<[Atom]>,
+    /// The frozen grounding of `facts`, or the error grounding them raised.
+    slot: OnceLock<Result<Arc<SmsBaseSnapshot>, GroundingError>>,
+    /// How many times the slot was built (0 or 1).
+    builds: AtomicU64,
+}
+
+impl SharedSmsBase {
+    /// An unbuilt base over `facts` (a deduplicated fact log).
+    pub fn new(facts: Vec<Atom>) -> SharedSmsBase {
+        SharedSmsBase {
+            facts: facts.into(),
+            slot: OnceLock::new(),
+            builds: AtomicU64::new(0),
+        }
+    }
+
+    /// The base facts.
+    pub fn facts(&self) -> &[Atom] {
+        &self.facts
+    }
+
+    /// How many times the grounding was built: 0 until some state needs
+    /// it, 1 afterwards (failed builds included).
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// The built snapshot, if the slot holds a successful grounding.
+    pub fn snapshot(&self) -> Option<&Arc<SmsBaseSnapshot>> {
+        self.slot.get().and_then(|built| built.as_ref().ok())
+    }
+
+    /// The slot's grounding, building it on the first call.  All states
+    /// attached to one base run the same program, null budget and limits.
+    fn get_or_build(
+        &self,
+        program: &Arc<DisjunctiveProgram>,
+        null_budget: NullBudget,
+        limits: GroundingLimits,
+    ) -> Result<&Arc<SmsBaseSnapshot>, &GroundingError> {
+        self.slot
+            .get_or_init(|| {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                let mut state = IncrementalSmsState::new(Arc::clone(program), null_budget, limits);
+                state.ensure_current(&self.facts)?;
+                Ok(state
+                    .freeze_log(Arc::clone(&self.facts))
+                    .expect("a current state freezes"))
+            })
+            .as_ref()
     }
 }
 
@@ -195,12 +270,16 @@ pub struct IncrementalSmsState {
     /// Whether any rule has an existential variable (when not, the `Auto`
     /// null budget is zero without running a chase).
     has_existentials: bool,
-    /// A shared frozen grounding of the session's base fact prefix, if this
-    /// state was forked from one.  Consulted only while `live` is `None`:
-    /// the first request over the exact base prefix is answered zero-copy,
-    /// and the first request over an extension adopts (clones) the snapshot
-    /// instead of rebuilding.
-    base: Option<Arc<SmsBaseSnapshot>>,
+    /// The shared base fact prefix this state was forked from, if any.
+    /// Consulted only while `live` is `None`: its grounding is built on the
+    /// first request that needs it, the first request over the exact base
+    /// prefix is answered zero-copy, and the first request over an
+    /// extension adopts (clones) the snapshot instead of rebuilding.
+    base: Option<Arc<SharedSmsBase>>,
+    /// Whether the last request was answered zero-copy from the base
+    /// snapshot (so the sizes report the base grounding while `live` is
+    /// `None`).
+    answered_from_base: bool,
     live: Option<LiveState>,
     stats: SmsReuseStats,
 }
@@ -226,15 +305,28 @@ impl IncrementalSmsState {
             existentials_by_rule,
             has_existentials,
             base: None,
+            answered_from_base: false,
             live: None,
             stats: SmsReuseStats::default(),
         }
     }
 
-    /// Attaches a shared frozen base snapshot (see [`SmsBaseSnapshot`]):
+    /// Attaches an already built base snapshot (see [`SmsBaseSnapshot`]):
     /// requests over the snapshot's fact prefix (or an extension of it) are
     /// answered from the snapshot instead of rebuilding.
-    pub fn with_base(mut self, base: Arc<SmsBaseSnapshot>) -> IncrementalSmsState {
+    pub fn with_base(self, base: Arc<SmsBaseSnapshot>) -> IncrementalSmsState {
+        let facts = Arc::clone(&base.facts);
+        self.with_shared_base(Arc::new(SharedSmsBase {
+            facts,
+            slot: OnceLock::from(Ok(base)),
+            builds: AtomicU64::new(0),
+        }))
+    }
+
+    /// Attaches a shared base whose grounding is built on first use (see
+    /// [`SharedSmsBase`]).  The base must be grounded under this state's
+    /// program, null budget and limits.
+    pub fn with_shared_base(mut self, base: Arc<SharedSmsBase>) -> IncrementalSmsState {
         self.base = Some(base);
         self
     }
@@ -243,10 +335,15 @@ impl IncrementalSmsState {
     /// [`SmsBaseSnapshot`] of exactly `facts` (the state must be current for
     /// that log).  Returns `None` when there is nothing frozen-worthy: no
     /// live grounding, or one for a different fact prefix.
-    pub fn freeze(mut self, facts: &[Atom]) -> Option<Arc<SmsBaseSnapshot>> {
+    pub fn freeze(self, facts: &[Atom]) -> Option<Arc<SmsBaseSnapshot>> {
+        self.freeze_log(facts.into())
+    }
+
+    /// [`IncrementalSmsState::freeze`] over an already shared fact log.
+    fn freeze_log(mut self, facts: Arc<[Atom]>) -> Option<Arc<SmsBaseSnapshot>> {
         let mut live = self.live.take()?;
         if live.facts_stale {
-            Self::refresh_facts(&mut live, facts);
+            Self::refresh_facts(&mut live, &facts);
         }
         if live.facts_consumed != facts.len() {
             return None;
@@ -259,7 +356,7 @@ impl IncrementalSmsState {
             plans: live.plans,
             ground: live.ground,
             seen: live.seen,
-            facts: facts.to_vec(),
+            facts,
         }))
     }
 
@@ -268,26 +365,36 @@ impl IncrementalSmsState {
         self.stats
     }
 
-    /// Current possibly-true closure size (0 before the first build).
+    /// Current possibly-true closure size: of the live grounding, or of the
+    /// shared base grounding when this state's last request was answered
+    /// from it (0 before this state's first request).
     pub fn closure_atoms(&self) -> usize {
-        self.live
-            .as_ref()
-            .map(|live| live.ground.closure.len())
-            .unwrap_or(0)
+        self.current().map_or(0, |ground| ground.closure.len())
     }
 
-    /// Current number of cached ground rule instances.
+    /// Current number of cached ground rule instances (see
+    /// [`IncrementalSmsState::closure_atoms`] for which grounding counts).
     pub fn ground_rules(&self) -> usize {
-        self.live
-            .as_ref()
-            .map(|live| live.ground.rules.len())
-            .unwrap_or(0)
+        self.current().map_or(0, |ground| ground.rules.len())
     }
 
-    /// Returns `true` if `facts` extends (or equals) the base snapshot's
-    /// fact prefix.
-    fn extends_base(base: &SmsBaseSnapshot, facts: &[Atom]) -> bool {
-        facts.len() >= base.facts.len() && facts[..base.facts.len()] == base.facts[..]
+    /// The grounding this state's last request was answered from, if it is
+    /// still current.
+    fn current(&self) -> Option<&GroundSmsProgram> {
+        match &self.live {
+            Some(live) => Some(&live.ground),
+            None if self.answered_from_base => self
+                .base
+                .as_deref()
+                .and_then(SharedSmsBase::snapshot)
+                .map(|snapshot| &snapshot.ground),
+            None => None,
+        }
+    }
+
+    /// Returns `true` if `facts` extends (or equals) the base fact prefix.
+    fn extends_base(base: &[Atom], facts: &[Atom]) -> bool {
+        facts.len() >= base.len() && facts[..base.len()] == *base
     }
 
     /// A live state adopted from a shared snapshot: clones the grounding
@@ -321,12 +428,20 @@ impl IncrementalSmsState {
     /// On error the state is left at its previous snapshot (advances are
     /// transactional), except that a failed *rebuild* drops the state.
     ///
+    /// With a [`SharedSmsBase`] attached and no live state, a log that
+    /// extends the base prefix builds the base grounding if no state has yet
+    /// (from the base facts, never from this log), then answers from it.  A
+    /// cached base failure is returned for the exact base prefix and counted
+    /// as a rebuild, like the failed build of a private state; a longer log
+    /// grounds privately.
+    ///
     /// # Panics
     ///
     /// Panics if a fact contains a variable or a labelled null (the session
     /// validates facts before accepting them, like
     /// [`Database::from_facts`]).
     pub fn ensure_current(&mut self, facts: &[Atom]) -> Result<&GroundSmsProgram, GroundingError> {
+        self.answered_from_base = false;
         if let Some(live) = self.live.as_mut() {
             if live.facts_consumed == facts.len() {
                 if live.facts_stale {
@@ -335,17 +450,27 @@ impl IncrementalSmsState {
                 self.stats.hits += 1;
                 return Ok(&self.live.as_ref().expect("checked above").ground);
             }
-        } else if let Some(base) = &self.base {
-            if Self::extends_base(base, facts) {
-                if base.facts.len() == facts.len() {
-                    // Zero-copy shared hit: the request asks for exactly the
-                    // frozen base prefix.
-                    self.stats.hits += 1;
-                    return Ok(&self.base.as_ref().expect("checked above").ground);
+        } else if let Some(base) = self.base.as_deref() {
+            if Self::extends_base(&base.facts, facts) {
+                match base.get_or_build(&self.program, self.null_budget, self.limits) {
+                    Ok(snapshot) if snapshot.facts.len() == facts.len() => {
+                        // Zero-copy shared hit: the request asks for exactly
+                        // the frozen base prefix.
+                        self.stats.hits += 1;
+                        self.answered_from_base = true;
+                        return Ok(&snapshot.ground);
+                    }
+                    // The log extends the base: adopt the snapshot and let
+                    // the advance/rebuild logic below take it from there.
+                    Ok(snapshot) => self.live = Some(Self::adopt(snapshot)),
+                    Err(error) if base.facts.len() == facts.len() => {
+                        self.stats.rebuilds += 1;
+                        return Err(error.clone());
+                    }
+                    // A longer log grounds privately below, exactly as a
+                    // private state would.
+                    Err(_) => {}
                 }
-                // The log extends the base: adopt the snapshot and let the
-                // advance/rebuild logic below take it from there.
-                self.live = Some(Self::adopt(base));
             }
         }
         let database =
@@ -422,6 +547,15 @@ impl IncrementalSmsState {
     /// target.
     pub fn retract_to_facts(&mut self, facts: usize) {
         let Some(live) = self.live.as_mut() else {
+            // A zero-copy answer stops being current once the log is cut
+            // below the base prefix.
+            if self
+                .base
+                .as_ref()
+                .is_some_and(|base| base.facts.len() > facts)
+            {
+                self.answered_from_base = false;
+            }
             return;
         };
         if live.facts_consumed <= facts {
@@ -858,6 +992,95 @@ mod tests {
         );
         assert_eq!(fork.stats().rebuilds, 1);
         assert_eq!(fork.stats().hits, 0);
+    }
+
+    /// A fresh state of `program` attached to a shared base.
+    fn fork_of(
+        program: &Arc<DisjunctiveProgram>,
+        base: &Arc<SharedSmsBase>,
+        limits: GroundingLimits,
+    ) -> IncrementalSmsState {
+        IncrementalSmsState::new(Arc::clone(program), NullBudget::Auto, limits)
+            .with_shared_base(Arc::clone(base))
+    }
+
+    #[test]
+    fn a_shared_base_is_built_once_on_first_use() {
+        let (program, _) = state("p(X), not q(X) -> r(X).");
+        let base_facts = facts("p(a). q(b).");
+        let base = Arc::new(SharedSmsBase::new(base_facts.clone()));
+        let limits = GroundingLimits::default();
+        let mut first = fork_of(&program, &base, limits);
+        let mut second = fork_of(&program, &base, limits);
+        assert_eq!(base.builds(), 0, "attaching grounds nothing");
+        assert!(base.snapshot().is_none());
+
+        // The first request over an extension builds the base from the base
+        // facts, adopts it and advances over the delta.
+        let mut live = base_facts.clone();
+        live.extend(facts("p(b)."));
+        assert_eq!(
+            models_incremental(&program, &mut first, &live),
+            models_oracle(&program, &live)
+        );
+        assert_eq!(base.builds(), 1);
+        assert_eq!(base.snapshot().unwrap().facts_consumed(), base_facts.len());
+        assert_eq!(first.stats().rebuilds, 0);
+
+        // A later state answers the base prefix zero-copy, and only then
+        // reports the base grounding's sizes.
+        assert_eq!(second.closure_atoms(), 0);
+        assert_eq!(
+            models_incremental(&program, &mut second, &base_facts),
+            models_oracle(&program, &base_facts)
+        );
+        assert_eq!(base.builds(), 1);
+        assert_eq!(second.stats().hits, 1);
+        let snapshot = base.snapshot().unwrap();
+        assert_eq!(second.closure_atoms(), snapshot.closure_atoms());
+        assert_eq!(second.ground_rules(), snapshot.ground_rules());
+        // Cutting the log below the base prefix makes that answer stale.
+        second.retract_to_facts(1);
+        assert_eq!(second.closure_atoms(), 0);
+    }
+
+    #[test]
+    fn a_failed_shared_base_is_cached_and_longer_logs_ground_privately() {
+        let (program, _) = state("d(X), d(Y) -> t(X, Y) | f(X, Y).");
+        let limits = GroundingLimits {
+            max_atoms: 10,
+            max_rules: 10,
+        };
+        let base_facts = facts("d(a). d(b). d(c).");
+        let base = Arc::new(SharedSmsBase::new(base_facts.clone()));
+        let private_error = |live: &[Atom]| {
+            IncrementalSmsState::new(Arc::clone(&program), NullBudget::Auto, limits)
+                .ensure_current(live)
+                .map(|_| ())
+                .unwrap_err()
+        };
+        let expected = private_error(&base_facts);
+        for _ in 0..2 {
+            let mut fork = fork_of(&program, &base, limits);
+            assert_eq!(
+                fork.ensure_current(&base_facts).map(|_| ()),
+                Err(expected.clone())
+            );
+            // Counted like the failed build of a private state.
+            assert_eq!(fork.stats().rebuilds, 1);
+        }
+        assert_eq!(base.builds(), 1, "the failure is cached, not retried");
+        // A longer log is not the base's to answer: it grounds privately
+        // and fails exactly as a private state over that log does.
+        let mut longer = base_facts.clone();
+        longer.extend(facts("d(e)."));
+        let mut fork = fork_of(&program, &base, limits);
+        assert_eq!(
+            fork.ensure_current(&longer).map(|_| ()),
+            Err(private_error(&longer))
+        );
+        assert_ne!(private_error(&longer), expected);
+        assert_eq!(base.builds(), 1);
     }
 
     #[test]
